@@ -23,8 +23,6 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_NOT_CONVERGED = 2
 
-DEFAULT_SEED = 20260810
-
 
 @dataclass
 class OutputRecord:
@@ -142,8 +140,6 @@ def _add_common(parser):
                         help="relative truncation tolerance")
     parser.add_argument("--max-terms", type=int, default=10_000)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized verification grids")
 
 
 def _add_spec_flags(parser):
@@ -497,3 +493,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import PochhammerPole
-from .series_integrals import IntegrandSpec, series_block
+from .series_integrals import IntegrandSpec, LiftedSequence, series_block
 from .special_functions import DEFAULT_POLICY, TruncationPolicy, pochhammer
 
 __all__ = ["IDENTITY_IDS", "IdentityCase", "lemma1_residual", "theorem_residual"]
@@ -69,70 +69,35 @@ def lemma1_residual(
     return abs(lhs - rhs) / max(abs(lhs), 1.0)
 
 
-def _relative_residual(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-
-
-def theorem_residual(
-    case: IdentityCase, policy: TruncationPolicy = DEFAULT_POLICY
-) -> float:
+def theorem_residual(case: IdentityCase, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Relative residual of one of the six series identities at case.x.
 
-    Both sides are assembled from the same primitive blocks the
-    antiderivatives use: the hyperbolic identities relate the even/odd split
-    sums (non-alternating) to exponential sums at +/-eta, and the
-    trigonometric ones relate the alternating split sums to exponential sums
-    at +/-i*eta.
+    With s = 1 for t1-t3 and s = i for t4-t6, w = s*eta*x^beta, E and O the
+    even and odd split sums (alternating when s = i, O scaled by s) and P+, P-
+    the exponential sums at eta_scale = +s, -s, all reading one lifted
+    sequence: t1/t4 is cosh(w) E - sinh(w) O = (e^w P+ + e^-w P-)/2, t2/t5 is
+    sinh(w) E - cosh(w) O = (e^w P+ - e^-w P-)/2 (t5 times i), and t3/t6
+    equates e^w P+ with the sum of those two left-hand sides.
     """
     if case.identity_id == "lemma1":
         s = case.spec
         return lemma1_residual(s.alpha, s.beta, s.gamma, case.n, case.j)
-    spec = case.spec
-    x = float(case.x)
-    w = spec.eta * x**spec.beta
+    spec, x, tid = case.spec, float(case.x), case.identity_id
+    s = 1.0 if tid in ("t1", "t2", "t3") else 1j
+    lifted = LiftedSequence(spec, x, policy)
 
     def blk(parity, alternating=False, eta_scale=1.0):
-        return series_block(spec, x, policy, parity, alternating, eta_scale).value
+        return series_block(spec, x, policy, parity, alternating, eta_scale, lifted).value
 
-    tid = case.identity_id
-    if tid in ("t1", "t2", "t3"):
-        even = blk("even")
-        odd = blk("odd")
-        p_plus = blk("all", eta_scale=1.0)
-        p_minus = blk("all", eta_scale=-1.0)
-        if tid == "t1":
-            lhs = cmath.cosh(w) * even - cmath.sinh(w) * odd
-            rhs = 0.5 * (cmath.exp(w) * p_plus + cmath.exp(-w) * p_minus)
-        elif tid == "t2":
-            lhs = cmath.sinh(w) * even - cmath.cosh(w) * odd
-            rhs = 0.5 * (cmath.exp(w) * p_plus - cmath.exp(-w) * p_minus)
-        else:
-            lhs = cmath.exp(w) * p_plus
-            rhs = (
-                cmath.cosh(w) * even
-                - cmath.sinh(w) * odd
-                + cmath.sinh(w) * even
-                - cmath.cosh(w) * odd
-            )
-        return _relative_residual(lhs, rhs)
-
-    even = blk("even", alternating=True)
-    odd = blk("odd", alternating=True)
-    p_plus = blk("all", eta_scale=1.0j)
-    p_minus = blk("all", eta_scale=-1.0j)
-    e_plus = cmath.exp(1j * w)
-    e_minus = cmath.exp(-1j * w)
-    if tid == "t4":
-        lhs = cmath.cos(w) * even + cmath.sin(w) * odd
-        rhs = 0.5 * (e_plus * p_plus + e_minus * p_minus)
-    elif tid == "t5":
-        lhs = cmath.sin(w) * even - cmath.cos(w) * odd
-        rhs = (e_plus * p_plus - e_minus * p_minus) / 2.0j
-    else:  # t6
-        lhs = e_plus * p_plus
-        rhs = (
-            cmath.cos(w) * even
-            + cmath.sin(w) * odd
-            + 1j * (cmath.sin(w) * even - cmath.cos(w) * odd)
-        )
-    return _relative_residual(lhs, rhs)
+    even, odd = blk("even", s == 1j), s * blk("odd", s == 1j)
+    p_plus, p_minus = blk("all", eta_scale=s), blk("all", eta_scale=-s)
+    w = s * spec.eta * x**spec.beta
+    cosh_side = cmath.cosh(w) * even - cmath.sinh(w) * odd
+    sinh_side = cmath.sinh(w) * even - cmath.cosh(w) * odd
+    plus, minus = cmath.exp(w) * p_plus, cmath.exp(-w) * p_minus
+    lhs, rhs = (
+        (plus, cosh_side + sinh_side),  # t3, t6
+        (cosh_side, 0.5 * (plus + minus)),  # t1, t4
+        (sinh_side, 0.5 * (plus - minus)),  # t2, t5
+    )[int(tid[1]) % 3]
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)

@@ -2,16 +2,20 @@
 
 For each kernel in {exp, cosh, sinh, cos, sin} the antiderivative is a double
 series: an outer sum over j whose coefficients carry powers of
-``t = beta*eta*x^beta`` divided by the running product
-``prod_{m=0..M(j)} (alpha + m*beta + 1)``, and an inner pFq whose parameter
-lists are lifted by appending ``(alpha + m*beta + 1)/gamma`` upstairs and
-``(alpha + gamma + m*beta + 1)/gamma`` downstairs for m = 0..M(j).  The
-kernels differ only in which outer indices appear (all j, even 2j, odd 2j+1),
-their sign pattern, and the kernel prefactors they multiply.
+``t = beta*eta*x^beta`` divided by ``prod_{m=0..c} (alpha + m*beta + 1)``, times
+the inner pFq F_c at ``lam*x^gamma`` whose parameter lists are lifted by
+``u_m = (alpha + m*beta + 1)/gamma`` upstairs and ``u_m + 1`` downstairs for
+m = 0..c (:func:`lifted_params`); c is j for the exponential kernel and 2j or
+2j+1 for the even and odd halves of the others.
 
-The building block :func:`series_block` is shared with the identity checker;
-:func:`antiderivative` assembles blocks per kernel, and
-:func:`definite_integral` applies the fundamental theorem of calculus.
+By Lemma 1 of the paper, (u)_n/(u+1)_n = u/(u+n): term n of F_c is term n of
+the base pFq times ``prod_{m<=c} u_m/(u_m+n)``, so one vector of inner terms,
+multiplied by ``u_c/(u_c+n)`` at each count, yields every F_c
+(:class:`LiftedSequence`).  J outer and N inner terms cost O(J*N) instead of
+the O(J*N*(p+q+J)) of a fresh pFq per outer index.  F_c does not depend
+on eta, so all blocks at one (spec, x) share one sequence, which raises per
+count the pole and divergence errors pfq raises on the lifted lists;
+:func:`series_block` checks the outer product for poles.
 
 Branch convention: x must be real and nonnegative, so every power
 ``x**s = exp(s ln x)`` is principal; the returned antiderivative fixes the
@@ -23,26 +27,17 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-from .errors import LiftedLowerPole, NotConverged, ProductPole
+from .errors import (
+    DivergentSeries, LiftedLowerPole, LowerParameterPole, NotConverged, PfqintError, ProductPole,
+)
 from .special_functions import (
-    DEFAULT_POLICY,
-    PFqParams,
-    SeriesEvaluation,
-    TruncationPolicy,
-    _is_nonpositive_integer,
-    _kahan_step,
-    pfq,
+    CONVERGENT, DEFAULT_POLICY, PFqParams, SeriesEvaluation, TruncationPolicy, _cancel_matching,
+    _is_nonpositive_integer, _kahan_step, _terminating_index, pfq,
 )
 
 __all__ = [
-    "KERNELS",
-    "IntegrandSpec",
-    "AntiderivativeValue",
-    "lifted_params",
-    "series_block",
-    "integrand_value",
-    "antiderivative",
-    "definite_integral",
+    "KERNELS", "IntegrandSpec", "AntiderivativeValue", "LiftedSequence", "lifted_params",
+    "series_block", "integrand_value", "antiderivative", "definite_integral",
 ]
 
 KERNELS = ("exp", "cosh", "sinh", "cos", "sin")
@@ -92,20 +87,139 @@ def lifted_params(spec: IntegrandSpec, count: int) -> PFqParams:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    added_upper = [
-        (spec.alpha + m * spec.beta + 1.0) / spec.gamma for m in range(count + 1)
-    ]
-    added_lower = [
-        (spec.alpha + spec.gamma + m * spec.beta + 1.0) / spec.gamma
-        for m in range(count + 1)
-    ]
+    added_upper = [(spec.alpha + m * spec.beta + 1.0) / spec.gamma for m in range(count + 1)]
+    added_lower = [(spec.alpha + spec.gamma + m * spec.beta + 1.0) / spec.gamma
+                   for m in range(count + 1)]
     upper = list(spec.pfq.upper) + added_upper
     for b in added_lower:
         if _is_nonpositive_integer(b) and b not in upper:
-            raise LiftedLowerPole(
-                f"appended lower parameter {b} is a nonpositive integer"
-            )
+            raise LiftedLowerPole(f"appended lower parameter {b} is a nonpositive integer")
     return PFqParams(tuple(upper), tuple(spec.pfq.lower) + tuple(added_lower))
+
+
+def _scaled(term: complex, zeros: int, num: complex, den: complex) -> tuple[complex, int]:
+    """term * num / den, an exact zero of num (den) counted +1 (-1) in zeros instead.
+
+    Where pfq cancels an equal upper/lower pair, their zero factors cancel in
+    the count; a term whose count is positive is zero.
+    """
+    if num == 0:
+        num, zeros = 1.0, zeros + 1
+    if den == 0:
+        den, zeros = 1.0, zeros - 1
+    return term * num / den, zeros
+
+
+class LiftedSequence:
+    """Inner factors F_c = pfq(lifted_params(spec, c), lam*x^gamma), c = 0, 1, ...
+
+    Made for one (spec, x, policy) and shared by the blocks of one call.
+    :meth:`get` returns F_c as pfq does up to rounding (``converged=False``
+    where pfq raises NotConverged) and raises what lifted_params or pfq
+    raises.  The vector holds the terms of the latest count, with their zero
+    counts (:func:`_scaled`), as far as its sum read them; a longer sum
+    appends terms built from the base terms.
+    """
+
+    def __init__(self, spec: IntegrandSpec, x: float, policy: TruncationPolicy = DEFAULT_POLICY):
+        self.key = (spec, x, policy)
+        self.z = spec.lam * (x**spec.gamma) if x != 0.0 else 0.0j
+        self._base_params = _cancel_matching(spec.pfq.upper, spec.pfq.lower)
+        self._base = [(1.0 + 0.0j, 0)]  # base pFq terms with their zero counts
+        self._u, self._lifted_poles = [], []
+        # Entries within tolerance of a nonpositive integer: only these can
+        # raise, end the series, or cancel against an entry that does.
+        self._special_upper = [a for a in spec.pfq.upper if _is_nonpositive_integer(a)]
+        self._special_lower = [b for b in spec.pfq.lower if _is_nonpositive_integer(b)]
+        self._terms, self._zeros = [], []  # inner terms of the latest count
+        self._results: list[SeriesEvaluation | PfqintError] = []
+
+    def get(self, count: int) -> SeriesEvaluation:
+        """F_count, evaluating every count before it first."""
+        while len(self._results) <= count:
+            self._results.append(self._advance(len(self._results)))
+        if isinstance(self._results[count], PfqintError):
+            raise self._results[count]
+        return self._results[count]
+
+    def _advance(self, c: int) -> SeriesEvaluation | PfqintError:
+        spec = self.key[0]
+        u = (spec.alpha + c * spec.beta + 1.0) / spec.gamma
+        v = (spec.alpha + spec.gamma + c * spec.beta + 1.0) / spec.gamma
+        self._u.append(u)
+        if _terminating_index([u]) is None:  # term 0 stays 1
+            self._terms[1:] = [t * u / (u + n) for n, t in enumerate(self._terms[1:], 1)]
+        else:
+            for n in range(1, len(self._terms)):
+                self._terms[n], self._zeros[n] = _scaled(self._terms[n], self._zeros[n], u, u + n)
+        if _is_nonpositive_integer(u):
+            self._special_upper.append(u)
+        if _is_nonpositive_integer(v):
+            self._special_lower.append(v)
+            self._lifted_poles.append(v)
+        # The checks of lifted_params and pfq, on the entries that can fail them.
+        for b in self._lifted_poles:
+            if b not in self._special_upper:
+                return LiftedLowerPole(f"appended lower parameter {b} is a nonpositive integer")
+        upper, lower = _cancel_matching(self._special_upper, self._special_lower)
+        if lower:
+            return LowerParameterPole(f"lower parameter {lower[0]} is a nonpositive integer")
+        n_stop = _terminating_index(upper)
+        excess = spec.pfq.p - spec.pfq.q
+        if n_stop is None and self.z != 0 and (excess > 1 or excess == 1 and abs(self.z) >= 1.0):
+            params = lifted_params(spec, c)  # for pfq's message
+            p, q = map(len, _cancel_matching(params.upper, params.lower))
+            return DivergentSeries(
+                f"{p}F{q} has zero radius of convergence; use an asymptotic evaluator"
+                if excess > 1 else f"{p}F{q} requires |z| < 1; got |z| = {abs(self.z):.6g}"
+            )
+        return self._sum(n_stop)
+
+    def _grow(self) -> None:
+        """Append the next term at the latest count: base term times every lift."""
+        n = len(self._terms)
+        if n == len(self._base):  # next base term by pfq's ratio
+            k = n - 1
+            term, zeros = self._base[k]
+            ratio = self.z / n
+            for a in self._base_params[0]:
+                ratio, zeros = _scaled(ratio, zeros, a + k, 1.0)
+            for b in self._base_params[1]:
+                ratio, zeros = _scaled(ratio, zeros, 1.0, b + k)
+            self._base.append((term * ratio, zeros))
+        term, zeros = self._base[n]
+        for u in self._u if n else ():
+            term, zeros = _scaled(term, zeros, u, u + n)
+        self._terms.append(term)
+        self._zeros.append(zeros)
+
+    def _sum(self, n_stop: int | None) -> SeriesEvaluation:
+        """Kahan sum of the latest count's terms, stopped as pfq stops."""
+        policy = self.key[2]
+        terms, zeros = self._terms, self._zeros
+        total = comp = 0.0 + 0.0j
+        small_run = n = 0
+        while n_stop is None or n <= n_stop:
+            if n == len(terms):
+                self._grow()
+            term = terms[n] if zeros[n] <= 0 else 0.0j
+            mag = abs(term)
+            if n == policy.max_terms:
+                break
+            small = n > 0 and mag < policy.rel_tol * abs(total) + policy.abs_tol
+            small_run = small_run + 1 if small else 0
+            if small_run >= policy.consecutive_small:
+                break
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            n += 1
+        else:
+            mag = 0.0
+        del terms[n + 1:], zeros[n + 1:]  # a later count rebuilds terms it needs
+        converged = n < policy.max_terms or n_stop is not None and n > n_stop
+        return SeriesEvaluation(total, n, mag, CONVERGENT, converged)
 
 
 @dataclass
@@ -118,14 +232,9 @@ class _Block:
     converged: bool
 
 
-def series_block(
-    spec: IntegrandSpec,
-    x: float,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    parity: str = "all",
-    alternating: bool = False,
-    eta_scale: complex = 1.0,
-) -> _Block:
+def series_block(spec: IntegrandSpec, x: float, policy: TruncationPolicy = DEFAULT_POLICY,
+                 parity: str = "all", alternating: bool = False, eta_scale: complex = 1.0,
+                 lifted: LiftedSequence | None = None) -> _Block:
     """One outer sum of the antiderivative series, without any prefactor.
 
     parity "all":  sum_j (-t)^j     / prod_{m=0..j}    (alpha+m*beta+1) * F_j
@@ -134,67 +243,53 @@ def series_block(
 
     with t = beta*(eta_scale*eta)*x^beta, s_j = (-1)^j when ``alternating``
     (trigonometric kernels), and F_c the pFq at :func:`lifted_params` count c
-    evaluated at lam*x^gamma.  The outer sum receives a tenth of the policy's
-    term budget; each inner pFq gets the full policy.
+    evaluated at lam*x^gamma, read from ``lifted``, the :class:`LiftedSequence`
+    of (spec, x, policy), made here if omitted.  The outer sum gets a tenth
+    of the policy's term budget, each inner sum all of it.
     """
     if parity not in ("all", "even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
     x = float(x)
     if x < 0.0:
         raise ValueError("x must be nonnegative (principal powers only)")
+    if lifted is None:
+        lifted = LiftedSequence(spec, x, policy)
+    elif lifted.key != (spec, x, policy):
+        raise ValueError("lifted sequence was made for another spec, x or policy")
     t = spec.beta * (eta_scale * spec.eta) * (x**spec.beta if x != 0.0 else 0.0)
-    z_inner = spec.lam * (x**spec.gamma) if x != 0.0 else 0.0j
     max_outer = max(1, policy.max_terms // 10)
 
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    err = 0.0
+    total = comp = 0.0 + 0.0j
+    err = last_mag = 0.0
     warnings: list[str] = []
     inner_worst: SeriesEvaluation | None = None
-    converged = False
-    inner_all_converged = True
+    converged, inner_all_converged = False, True
     small_run = 0
     prod = 1.0 + 0.0j
     m_done = -1
-    if parity == "all":
-        power = 1.0 + 0.0j
-        step = -t
-    elif parity == "even":
-        power = 1.0 + 0.0j
-        step = t * t
-    else:
-        power = t
-        step = t * t
+    power = t if parity == "odd" else 1.0 + 0.0j
+    step = -t if parity == "all" else t * t
 
     j = 0
-    last_mag = 0.0
     while j < max_outer:
-        if power == 0:
-            # Every remaining outer term vanishes identically.
-            converged = True
-            last_mag = 0.0
+        if power == 0:  # every remaining outer term vanishes identically
+            converged, last_mag = True, 0.0
             break
-        m_target = {"all": j, "even": 2 * j, "odd": 2 * j + 1}[parity]
+        m_target = j if parity == "all" else 2 * j + (parity == "odd")
         while m_done < m_target:
             m_done += 1
             factor = spec.alpha + m_done * spec.beta + 1.0
             mag = abs(factor)
             if mag <= _PRODUCT_POLE_TOL:
-                raise ProductPole(
-                    f"alpha + m*beta + 1 vanishes at m = {m_done}"
-                )
+                raise ProductPole(f"alpha + m*beta + 1 vanishes at m = {m_done}")
             if mag < _PRODUCT_NEAR_POLE:
-                warnings.append(
-                    f"near pole: |alpha + {m_done}*beta + 1| = {mag:.3g}"
-                )
+                warnings.append(f"near pole: |alpha + {m_done}*beta + 1| = {mag:.3g}")
             prod *= factor
         coeff = power / prod
         if alternating and j % 2 == 1:
             coeff = -coeff
-        try:
-            inner = pfq(lifted_params(spec, m_target), z_inner, policy)
-        except NotConverged as exc:
-            inner = exc.result
+        inner = lifted.get(m_target)
+        if not inner.converged:
             inner_all_converged = False
             warnings.append(f"inner series not converged at outer index {j}")
         if inner_worst is None or inner.error_estimate > inner_worst.error_estimate:
@@ -206,10 +301,8 @@ def series_block(
             break
         last_mag = abs(term)
         err += abs(coeff) * inner.error_estimate
-        if j > 0 and last_mag < policy.rel_tol * abs(total) + policy.abs_tol:
-            small_run += 1
-        else:
-            small_run = 0
+        small = j > 0 and last_mag < policy.rel_tol * abs(total) + policy.abs_tol
+        small_run = small_run + 1 if small else 0
         total, comp = _kahan_step(total, comp, term)
         j += 1
         if small_run >= policy.consecutive_small:
@@ -217,15 +310,7 @@ def series_block(
             break
         power *= step
 
-    err += last_mag
-    return _Block(
-        value=total,
-        outer_terms=j,
-        error_estimate=err,
-        inner_worst=inner_worst,
-        warnings=warnings,
-        converged=converged and inner_all_converged,
-    )
+    return _Block(total, j, err + last_mag, inner_worst, warnings, converged and inner_all_converged)
 
 
 def integrand_value(
@@ -235,45 +320,20 @@ def integrand_value(
     x = float(x)
     if x <= 0.0:
         raise ValueError("integrand evaluation requires x > 0")
-    kernel_fn = {
-        "exp": cmath.exp,
-        "cosh": cmath.cosh,
-        "sinh": cmath.sinh,
-        "cos": cmath.cos,
-        "sin": cmath.sin,
-    }[spec.kernel]
+    kernel = getattr(cmath, spec.kernel)  # every kernel is named as in cmath
     inner = pfq(spec.pfq, spec.lam * x**spec.gamma, policy)
-    return (x**spec.alpha) * kernel_fn(spec.eta * x**spec.beta) * inner.value
+    return (x**spec.alpha) * kernel(spec.eta * x**spec.beta) * inner.value
 
 
-def _merge(
-    pieces: list[tuple[complex, _Block]], prefactor: complex
-) -> AntiderivativeValue:
-    value = 0.0 + 0.0j
-    err = 0.0
-    warnings: list[str] = []
-    inner_worst: SeriesEvaluation | None = None
-    outer_terms = 0
-    converged = True
-    for weight, block in pieces:
-        value += weight * block.value
-        err += abs(weight) * block.error_estimate
-        warnings.extend(block.warnings)
-        outer_terms = max(outer_terms, block.outer_terms)
-        converged = converged and block.converged
-        if block.inner_worst is not None and (
-            inner_worst is None
-            or block.inner_worst.error_estimate > inner_worst.error_estimate
-        ):
-            inner_worst = block.inner_worst
-    return AntiderivativeValue(
-        value=prefactor * value,
-        outer_terms_used=outer_terms,
-        inner_diagnostics=inner_worst,
-        error_estimate=abs(prefactor) * err,
-        warnings=warnings,
-        converged=converged,
-    )
+# The antiderivative is x^(alpha+1) * sum(weight(eta*x^beta) * block) over the
+# kernel's (parity, weight) pairs; the trigonometric kernels' blocks alternate.
+_KERNEL_BLOCKS = {
+    "exp": (("all", cmath.exp),),
+    "cosh": (("even", cmath.cosh), ("odd", lambda w: -cmath.sinh(w))),
+    "sinh": (("even", cmath.sinh), ("odd", lambda w: -cmath.cosh(w))),
+    "cos": (("even", cmath.cos), ("odd", cmath.sin)),
+    "sin": (("even", cmath.sin), ("odd", lambda w: -cmath.cos(w))),
+}
 
 
 def antiderivative(
@@ -286,39 +346,31 @@ def antiderivative(
     :class:`NotConverged` with the partial result attached if any truncation
     budget is exhausted.
     """
-    if isinstance(x, complex):
-        if x.imag != 0.0:
-            raise ValueError("antiderivative supports real nonnegative x only")
-        x = x.real
-    x = float(x)
-    if x < 0.0:
+    x = complex(x)
+    if x.imag != 0.0 or x.real < 0.0:
         raise ValueError("antiderivative supports real nonnegative x only")
+    x = x.real
     if x == 0.0:
         if spec.alpha.real <= -1.0:
             raise ValueError("x = 0 requires Re(alpha) > -1")
         return AntiderivativeValue(0.0 + 0.0j, 0, None, 0.0)
 
-    w = spec.eta * x**spec.beta
-    front = x ** (spec.alpha + 1.0)
-    if spec.kernel == "exp":
-        blk = series_block(spec, x, policy, "all")
-        out = _merge([(cmath.exp(w), blk)], front)
-    elif spec.kernel == "cosh":
-        even = series_block(spec, x, policy, "even")
-        odd = series_block(spec, x, policy, "odd")
-        out = _merge([(cmath.cosh(w), even), (-cmath.sinh(w), odd)], front)
-    elif spec.kernel == "sinh":
-        even = series_block(spec, x, policy, "even")
-        odd = series_block(spec, x, policy, "odd")
-        out = _merge([(cmath.sinh(w), even), (-cmath.cosh(w), odd)], front)
-    elif spec.kernel == "cos":
-        even = series_block(spec, x, policy, "even", alternating=True)
-        odd = series_block(spec, x, policy, "odd", alternating=True)
-        out = _merge([(cmath.cos(w), even), (cmath.sin(w), odd)], front)
-    else:  # sin
-        even = series_block(spec, x, policy, "even", alternating=True)
-        odd = series_block(spec, x, policy, "odd", alternating=True)
-        out = _merge([(cmath.sin(w), even), (-cmath.cos(w), odd)], front)
+    w, front = spec.eta * x**spec.beta, x ** (spec.alpha + 1.0)
+    alternating = spec.kernel in ("cos", "sin")
+    lifted = LiftedSequence(spec, x, policy)
+    pieces = [
+        (weight(w), series_block(spec, x, policy, parity, alternating, lifted=lifted))
+        for parity, weight in _KERNEL_BLOCKS[spec.kernel]
+    ]
+    inner = [b.inner_worst for _, b in pieces if b.inner_worst is not None]
+    out = AntiderivativeValue(
+        value=front * sum((weight * b.value for weight, b in pieces), 0.0 + 0.0j),
+        outer_terms_used=max(b.outer_terms for _, b in pieces),
+        inner_diagnostics=max(inner, key=lambda ev: ev.error_estimate, default=None),
+        error_estimate=abs(front) * sum(abs(weight) * b.error_estimate for weight, b in pieces),
+        warnings=[text for _, b in pieces for text in b.warnings],
+        converged=all(b.converged for _, b in pieces),
+    )
     if not out.converged:
         raise NotConverged("antiderivative series did not converge", result=out)
     return out
@@ -330,19 +382,11 @@ def definite_integral(
     """Definite integral over [a, b] as antiderivative(b) - antiderivative(a)."""
     fb = antiderivative(spec, b, policy)
     fa = antiderivative(spec, a, policy)
+    inner = [d for d in (fb.inner_diagnostics, fa.inner_diagnostics) if d is not None]
     return AntiderivativeValue(
         value=fb.value - fa.value,
         outer_terms_used=max(fa.outer_terms_used, fb.outer_terms_used),
-        inner_diagnostics=(
-            fb.inner_diagnostics
-            if fa.inner_diagnostics is None
-            or (
-                fb.inner_diagnostics is not None
-                and fb.inner_diagnostics.error_estimate
-                >= fa.inner_diagnostics.error_estimate
-            )
-            else fa.inner_diagnostics
-        ),
+        inner_diagnostics=max(inner, key=lambda ev: ev.error_estimate, default=None),
         error_estimate=fa.error_estimate + fb.error_estimate,
         warnings=fa.warnings + fb.warnings,
         converged=fa.converged and fb.converged,

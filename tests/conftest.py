@@ -1,10 +1,20 @@
-"""Shared helpers: relative error with a floor, and seeded case generators."""
+"""Shared helpers: relative error with a floor, seeded case generators, and the
+per-term reference for the lifted double series."""
 
 from __future__ import annotations
 
 import random
 
-from pfqint import IntegrandSpec, PFqParams
+from pfqint import (
+    DEFAULT_POLICY,
+    IntegrandSpec,
+    NotConverged,
+    PFqParams,
+    ProductPole,
+    TruncationPolicy,
+    lifted_params,
+    pfq,
+)
 
 # Every randomized grid in the suite derives from this seed.
 SEED = 20260810
@@ -90,3 +100,47 @@ def lemma_cases(count: int, seed: int = SEED):
         if ok:
             cases.append((alpha, beta, gamma, n, j))
     return cases
+
+
+def reference_block(spec: IntegrandSpec, x: float, parity: str = "all",
+                    alternating: bool = False, eta_scale: complex = 1.0,
+                    policy: TruncationPolicy = DEFAULT_POLICY):
+    """One outer sum of ``series_block`` with a fresh
+    ``pfq(lifted_params(spec, c), lam*x^gamma)`` for every outer term.
+
+    Returns (value, outer terms, inner evaluation per outer term,
+    sum over j of |coeff_j * F_j|) and raises what the per-term evaluation
+    raises, the outer product's ProductPole first.
+    """
+    t = spec.beta * (eta_scale * spec.eta) * (x**spec.beta if x else 0.0)
+    z = spec.lam * x**spec.gamma if x else 0j
+    stride, offset = {"all": (1, 0), "even": (2, 0), "odd": (2, 1)}[parity]
+    total, size, small_run, inner = 0j, 0.0, 0, []
+    j = 0
+    while j < max(1, policy.max_terms // 10):
+        count = stride * j + offset
+        power = (-t) ** j if parity == "all" else t ** count
+        if power == 0:
+            break
+        prod = 1.0 + 0.0j
+        for m in range(count + 1):
+            factor = spec.alpha + m * spec.beta + 1.0
+            if abs(factor) <= 1e-12:
+                raise ProductPole(f"alpha + m*beta + 1 vanishes at m = {m}")
+            prod *= factor
+        try:
+            ev = pfq(lifted_params(spec, count), z, policy)
+        except NotConverged as exc:
+            ev = exc.result
+        inner.append(ev)
+        term = (-1) ** (alternating and j % 2) * power / prod * ev.value
+        size += abs(term)
+        if j > 0 and abs(term) < policy.rel_tol * abs(total) + policy.abs_tol:
+            small_run += 1
+        else:
+            small_run = 0
+        total += term
+        j += 1
+        if small_run >= policy.consecutive_small:
+            break
+    return total, j, inner, size

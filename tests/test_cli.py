@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
+import pfqint
 from conftest import relerr
 from pfqint.cli import run
 
@@ -93,6 +97,20 @@ class TestExitCodes:
         record = json.loads(out)
         assert record["converged"] is False
         assert record["terms_used"] == 4
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_in_process_run(self):
+        argv = ["pfq", "--p-params", "1", "--q-params", "0.5", "--z", "0.3",
+                "--z-im", "-0.2"]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(pfqint.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "pfqint.cli"] + argv, env=env,
+                              capture_output=True, timeout=60)
+        code, out, _ = invoke(argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode()
 
 
 class TestDeterminism:

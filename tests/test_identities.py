@@ -1,17 +1,20 @@
+import cmath
 import random
 
 import pytest
 
-from conftest import SEED, lemma_cases, random_identity_spec
+import pfqint.identities as identities
+from conftest import SEED, lemma_cases, random_identity_spec, reference_block
 from pfqint import (
     IdentityCase,
     IntegrandSpec,
+    LiftedLowerPole,
     PFqParams,
     PochhammerPole,
     lemma1_residual,
     theorem_residual,
 )
-from pfqint.series_integrals import series_block
+from pfqint.series_integrals import LiftedSequence, series_block
 from pfqint.special_functions import DEFAULT_POLICY
 
 
@@ -108,3 +111,69 @@ class TestTheoremResiduals:
             n=2, j=2,
         )
         assert theorem_residual(case) < 1e-15
+
+
+def _reference_residual(case):
+    """The residual as assembled branch by branch, from per-term blocks."""
+    spec, x, tid = case.spec, case.x, case.identity_id
+    w = spec.eta * x**spec.beta
+    trig = tid in ("t4", "t5", "t6")
+
+    def blk(parity, alternating=False, eta_scale=1.0):
+        return reference_block(spec, x, parity, alternating, eta_scale)[0]
+
+    even, odd = blk("even", trig), blk("odd", trig)
+    s = 1j if trig else 1.0
+    p_plus, p_minus = blk("all", eta_scale=s), blk("all", eta_scale=-s)
+    e_plus, e_minus = cmath.exp(s * w), cmath.exp(-s * w)
+    lhs, rhs = {
+        "t1": (cmath.cosh(w) * even - cmath.sinh(w) * odd,
+               0.5 * (e_plus * p_plus + e_minus * p_minus)),
+        "t2": (cmath.sinh(w) * even - cmath.cosh(w) * odd,
+               0.5 * (e_plus * p_plus - e_minus * p_minus)),
+        "t3": (e_plus * p_plus, cmath.cosh(w) * even - cmath.sinh(w) * odd
+               + cmath.sinh(w) * even - cmath.cosh(w) * odd),
+        "t4": (cmath.cos(w) * even + cmath.sin(w) * odd,
+               0.5 * (e_plus * p_plus + e_minus * p_minus)),
+        "t5": (cmath.sin(w) * even - cmath.cos(w) * odd,
+               (e_plus * p_plus - e_minus * p_minus) / 2.0j),
+        "t6": (e_plus * p_plus, cmath.cos(w) * even + cmath.sin(w) * odd
+               + 1j * (cmath.sin(w) * even - cmath.cos(w) * odd)),
+    }[tid]
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
+class TestSharedInnerSequence:
+    @pytest.mark.parametrize("tid", ["t1", "t2", "t3", "t4", "t5", "t6"])
+    def test_matches_per_term_reference(self, tid):
+        rng = random.Random(SEED + 12)
+        for _ in range(4):
+            x = rng.uniform(0.3, 1.2)
+            case = IdentityCase(identity_id=tid, spec=random_identity_spec(rng, x), x=x)
+            assert abs(theorem_residual(case) - _reference_residual(case)) < 1e-13
+
+    def test_one_sequence_and_four_blocks_per_residual(self, monkeypatch):
+        made, blocks = [], []
+
+        class Counted(LiftedSequence):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        def counted_block(*args, **kwargs):
+            blocks.append(args[3])
+            return series_block(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "LiftedSequence", Counted)
+        monkeypatch.setattr(identities, "series_block", counted_block)
+        for tid in ("t1", "t2", "t3", "t4", "t5", "t6"):
+            made.clear()
+            blocks.clear()
+            theorem_residual(_case(tid, x=0.7, eta=1.3 + 0.4j))
+            assert len(made) == 1
+            assert sorted(blocks) == ["all", "all", "even", "odd"]
+
+    def test_lifted_pole_raised_as_before(self):
+        case = _case("t4", x=0.8, alpha=-4.0, lam=0.3, pfq=PFqParams((-1.0,), (1.5,)))
+        with pytest.raises(LiftedLowerPole):
+            theorem_residual(case)

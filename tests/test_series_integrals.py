@@ -1,12 +1,16 @@
+import cmath
+import itertools
 import math
 import random
 
 import pytest
 
-from conftest import SEED, random_integrand_spec, relerr
+from conftest import SEED, random_integrand_spec, reference_block, relerr
 from pfqint import (
+    DivergentSeries,
     IntegrandSpec,
     LiftedLowerPole,
+    LowerParameterPole,
     NotConverged,
     PFqParams,
     ProductPole,
@@ -15,9 +19,11 @@ from pfqint import (
     definite_integral,
     integrand_value,
     lifted_params,
+    pfq,
     quad_finite,
 )
 from pfqint.oracle import fd_derivative
+from pfqint.series_integrals import KERNELS, LiftedSequence, series_block
 
 
 def _spec(**kw):
@@ -199,3 +205,135 @@ class TestAntiderivative:
         assert abs((v.value - w.value) - oracle.value) <= max(
             1e-13, v.error_estimate + w.error_estimate + oracle.error_estimate
         )
+
+
+_INNER = ((0, 0), (0, 1), (1, 1), (1, 2), (2, 1))
+_PARITY_COUNTS = {"all": (1, 0), "even": (2, 0), "odd": (2, 1)}
+
+
+def _lifted_corpus(rng, per_cell=4):
+    """(spec, x) for every kernel and inner pFq: |eta x^beta| log-spread over
+    0.1..15, |lam x^gamma| up to 0.8 for 2F1 and up to 3 otherwise, and half
+    the cases with complex eta and lam."""
+    for kernel, (p, q) in itertools.product(KERNELS, _INNER):
+        for _ in range(per_cell):
+            x = rng.uniform(0.3, 1.9)
+            beta, gamma = rng.choice((0.5, 1.0, 1.5, 2.0)), rng.choice((1.0, 2.0))
+            complex_case = rng.random() < 0.5
+
+            def direction():
+                if complex_case:
+                    return cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                return rng.choice((1.0, -1.0))
+
+            w = 0.1 * 150.0 ** rng.random()
+            if (p, q) == (2, 1):
+                z = rng.uniform(0.05, 0.8)
+            else:
+                z = math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
+            params = PFqParams(tuple(rng.uniform(0.3, 2.5) for _ in range(p)),
+                               tuple(rng.uniform(0.6, 3.0) for _ in range(q)))
+            yield IntegrandSpec(kernel, rng.uniform(-0.5, 1.5), beta,
+                                w / x**beta * direction(), z / x**gamma * direction(),
+                                gamma, params), x
+
+
+def _assert_matches_reference(spec, x, parity, alternating=False, eta_scale=1.0):
+    lifted = LiftedSequence(spec, x)
+    block = series_block(spec, x, parity=parity, alternating=alternating,
+                         eta_scale=eta_scale, lifted=lifted)
+    value, outer_terms, inner, size = reference_block(spec, x, parity, alternating,
+                                                      eta_scale)
+    assert block.outer_terms == outer_terms
+    stride, offset = _PARITY_COUNTS[parity]
+    for j, ref in enumerate(inner):
+        mine = lifted.get(stride * j + offset)
+        assert (mine.terms_used, mine.converged) == (ref.terms_used, ref.converged)
+    # The recurrence changes only the rounding, which no error estimate covers.
+    assert abs(block.value - value) <= 1e-13 * size
+    return block
+
+
+class TestLiftedRecurrence:
+    def test_blocks_match_per_term_pfq(self):
+        rng = random.Random(SEED + 20)
+        scales = (1.0, -1.0, 1j, -1j)
+        for k, (spec, x) in enumerate(_lifted_corpus(rng)):
+            for i, parity in enumerate(("all", "even", "odd")):
+                _assert_matches_reference(spec, x, parity, spec.kernel in ("cos", "sin"),
+                                          scales[(k + i) % 4])
+
+    def test_lifted_lower_pole_depends_on_parity(self):
+        # The even block asks for count 0, where the appended lower entry -2
+        # has no equal upper entry yet; the odd block's first count 1 also
+        # appends u_1 = -2 and gets to the product pole at m = 3 instead.
+        spec = _spec(kernel="cosh", alpha=-4.0, lam=0.3, pfq=PFqParams((-1.0,), (1.5,)))
+        for parity, error in (("even", LiftedLowerPole), ("odd", ProductPole)):
+            with pytest.raises(error) as ref:
+                reference_block(spec, 0.8, parity)
+            with pytest.raises(error) as mine:
+                series_block(spec, 0.8, parity=parity)
+            assert str(mine.value) == str(ref.value)
+        with pytest.raises(LiftedLowerPole):
+            antiderivative(spec, 0.8)
+
+    def test_integer_lift_parameters(self):
+        # u_m = m - 3: count 1 is finite only because its lower entries -2
+        # and -1 cancel against u_1 and the base upper -1, and the series
+        # ends at n = 3 through u_0 = -3.
+        spec = _spec(alpha=-4.0, lam=0.3, pfq=PFqParams((-1.0,), (1.5,)))
+        lifted = LiftedSequence(spec, 0.8)
+        mine, ref = lifted.get(1), pfq(lifted_params(spec, 1), lifted.z)
+        assert (mine.terms_used, mine.error_estimate) == (ref.terms_used, 0.0) == (4, 0.0)
+        assert relerr(mine.value, ref.value) < 1e-14
+        # Without the base upper -1 the same count raises, as lifted_params does.
+        bare = LiftedSequence(_spec(alpha=-4.0, lam=0.3, pfq=PFqParams((), (1.5,))), 0.8)
+        with pytest.raises(LiftedLowerPole):
+            bare.get(1)
+        # u_0 = -1: the appended lower entry 0 raises before any term.
+        spec = _spec(alpha=-2.0, lam=0.3)
+        with pytest.raises(LiftedLowerPole):
+            reference_block(spec, 0.8)
+        with pytest.raises(LiftedLowerPole):
+            antiderivative(spec, 0.8)
+
+    def test_terminating_base_upper(self):
+        # 2F1(-3, 1.5; 2.5; z) is a cubic, summed outside |z| < 1.
+        spec = _spec(kernel="sin", alpha=0.5, eta=2.0, lam=1.5 / 0.8,
+                     pfq=PFqParams((-3.0, 1.5), (2.5,)))
+        for parity in ("even", "odd"):
+            _assert_matches_reference(spec, 0.8, parity, alternating=True)
+        assert LiftedSequence(spec, 0.8).get(5).terms_used == 4
+
+    @pytest.mark.parametrize("params, lam, error", [
+        (PFqParams((0.5, 1.5), (2.5,)), 1.2, DivergentSeries),  # 2F1 at |z| >= 1
+        (PFqParams((0.5,), (-2.0,)), 0.3, LowerParameterPole),
+    ])
+    def test_base_errors(self, params, lam, error):
+        spec = _spec(kernel="sin", alpha=0.5, eta=2.0, lam=lam / 0.8, pfq=params)
+        with pytest.raises(error) as ref:
+            reference_block(spec, 0.8, "even", True)
+        with pytest.raises(error) as mine:
+            antiderivative(spec, 0.8)
+        assert str(mine.value) == str(ref.value)
+
+    def test_lambda_zero(self):
+        spec = _spec(kernel="cos", alpha=0.4, eta=3.0, lam=0.0, pfq=PFqParams((1.3,), (0.7,)))
+        block = _assert_matches_reference(spec, 1.3, "odd", alternating=True)
+        assert block.inner_worst.value == 1.0 and block.inner_worst.terms_used == 3
+
+    def test_x_zero(self):
+        spec = _spec(alpha=0.5, lam=0.7, pfq=PFqParams((1.3,), (0.7,)))
+        for parity, value in (("all", 1.0 / 1.5), ("even", 1.0 / 1.5), ("odd", 0.0)):
+            block = _assert_matches_reference(spec, 0.0, parity)
+            assert block.value == value
+        assert antiderivative(spec, 0.0).value == 0.0
+
+    def test_shared_sequence_gives_the_blocks_it_replaces(self):
+        spec = random_integrand_spec(random.Random(SEED + 21), kernel="cos")
+        lifted = LiftedSequence(spec, 1.4)
+        for parity in ("odd", "even", "all"):
+            shared = series_block(spec, 1.4, parity=parity, lifted=lifted)
+            assert shared == series_block(spec, 1.4, parity=parity)
+        with pytest.raises(ValueError):
+            series_block(spec, 1.5, lifted=lifted)
