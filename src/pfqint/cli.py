@@ -432,7 +432,8 @@ def _run_sweep(args, extras, out) -> int:
     exit_code = _EXIT_OK
     for i in range(args.steps + 1):
         value = args.start + (args.stop - args.start) * i / args.steps
-        argv = [args.base] + list(extras) + [f"--{args.param}", repr(value)]
+        # One item, so that argparse reads a negative value such as -1e-05 as the value.
+        argv = [args.base] + list(extras) + [f"--{args.param}={value!r}"]
         sub_args = parser.parse_args(argv)
         record = _HANDLERS[args.base](sub_args)
         record.inputs["sweep_index"] = i

@@ -17,6 +17,13 @@ on eta, so all blocks at one (spec, x) share one sequence, which raises per
 count the pole and divergence errors pfq raises on the lifted lists;
 :func:`series_block` checks the outer product for poles.
 
+Only the powers of ``eta*x^beta`` and ``lam*x^gamma`` depend on x.  The lift
+factors, the pole and termination verdict of each count and the outer
+products depend on the spec alone, so they live in the spec object's plan
+(:class:`_SpecPlan`), built on first use and shared by every x evaluated
+with that object; it has no setting, and equal but distinct spec objects
+do not share one.  Divergence depends on z and is checked per x.
+
 Branch convention: x must be real and nonnegative, so every power
 ``x**s = exp(s ln x)`` is principal; the returned antiderivative fixes the
 integration constant to 0.
@@ -25,7 +32,9 @@ integration constant to 0.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .errors import (
     DivergentSeries, LiftedLowerPole, LowerParameterPole, NotConverged, PfqintError, ProductPole,
@@ -44,6 +53,8 @@ KERNELS = ("exp", "cosh", "sinh", "cos", "sin")
 
 _PRODUCT_POLE_TOL = 1e-12
 _PRODUCT_NEAR_POLE = 1e-6
+
+_Raised = tuple[type[PfqintError], str]  # an error to raise: its type and message
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,15 @@ class IntegrandSpec:
             object.__setattr__(self, name, complex(getattr(self, name)))
         if self.gamma == 0:
             raise ValueError("gamma must be nonzero")
+
+    @cached_property
+    def _plan(self) -> _SpecPlan:
+        """The spec's x-independent series data, built on first use."""
+        return _SpecPlan(self)
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the fields only and build their own plan.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -110,98 +130,167 @@ def _scaled(term: complex, zeros: int, num: complex, den: complex) -> tuple[comp
     return term * num / den, zeros
 
 
-class LiftedSequence:
-    """Inner factors F_c = pfq(lifted_params(spec, c), lam*x^gamma), c = 0, 1, ...
+class _SpecPlan:
+    """The part of the lifted double series that depends on the spec alone.
 
-    Made for one (spec, x, policy) and shared by the blocks of one call.
-    :meth:`get` returns F_c as pfq does up to rounding (``converged=False``
-    where pfq raises NotConverged) and raises what lifted_params or pfq
-    raises.  The vector holds the terms of the latest count, with their zero
-    counts (:func:`_scaled`), as far as its sum read them; a longer sum
-    appends terms built from the base terms.
+    Per count c: the lift factor ``u[c]``, whether it is exactly a
+    nonpositive integer, and ``verdict(c)``: the terminating index (None if
+    the series does not end) or the (error type, message) that lifted_params
+    or pfq raises for a pole.  Per outer index m: ``product(m)`` and the
+    near-pole warnings up to m.  Grown on demand under a lock, so threads
+    may share a spec.
     """
 
-    def __init__(self, spec: IntegrandSpec, x: float, policy: TruncationPolicy = DEFAULT_POLICY):
-        self.key = (spec, x, policy)
-        self.z = spec.lam * (x**spec.gamma) if x != 0.0 else 0.0j
-        self._base_params = _cancel_matching(spec.pfq.upper, spec.pfq.lower)
-        self._base = [(1.0 + 0.0j, 0)]  # base pFq terms with their zero counts
-        self._u, self._lifted_poles = [], []
+    def __init__(self, spec: IntegrandSpec):
+        # The parameters, not the spec: the spec holds the plan.
+        self._alpha, self._beta, self._gamma = spec.alpha, spec.beta, spec.gamma
+        self.base_params = _cancel_matching(spec.pfq.upper, spec.pfq.lower)
+        self.u: list[complex] = []
+        self.exact: list[bool] = []
+        self.verdicts: list[int | None | _Raised] = []
+        self.products: list[complex] = []
+        self.near_poles: list[tuple[int, str]] = []  # (m, warning), m rising
         # Entries within tolerance of a nonpositive integer: only these can
         # raise, end the series, or cancel against an entry that does.
         self._special_upper = [a for a in spec.pfq.upper if _is_nonpositive_integer(a)]
         self._special_lower = [b for b in spec.pfq.lower if _is_nonpositive_integer(b)]
-        self._terms, self._zeros = [], []  # inner terms of the latest count
-        self._results: list[SeriesEvaluation | PfqintError] = []
+        self._lifted_poles: list[complex] = []
+        self._lock = threading.Lock()
 
-    def get(self, count: int) -> SeriesEvaluation:
-        """F_count, evaluating every count before it first."""
-        while len(self._results) <= count:
-            self._results.append(self._advance(len(self._results)))
-        if isinstance(self._results[count], PfqintError):
-            raise self._results[count]
-        return self._results[count]
+    def verdict(self, c: int) -> int | None | _Raised:
+        """The checks of count c, making those of every count before it first."""
+        if c >= len(self.verdicts):
+            with self._lock:
+                while len(self.verdicts) <= c:
+                    self.verdicts.append(self._check(len(self.verdicts)))
+        return self.verdicts[c]
 
-    def _advance(self, c: int) -> SeriesEvaluation | PfqintError:
-        spec = self.key[0]
-        u = (spec.alpha + c * spec.beta + 1.0) / spec.gamma
-        v = (spec.alpha + spec.gamma + c * spec.beta + 1.0) / spec.gamma
-        self._u.append(u)
-        if _terminating_index([u]) is None:  # term 0 stays 1
-            self._terms[1:] = [t * u / (u + n) for n, t in enumerate(self._terms[1:], 1)]
-        else:
-            for n in range(1, len(self._terms)):
-                self._terms[n], self._zeros[n] = _scaled(self._terms[n], self._zeros[n], u, u + n)
+    def _check(self, c: int) -> int | None | _Raised:
+        alpha, beta, gamma = self._alpha, self._beta, self._gamma
+        u = (alpha + c * beta + 1.0) / gamma
+        v = (alpha + gamma + c * beta + 1.0) / gamma
+        self.u.append(u)
+        self.exact.append(_terminating_index([u]) is not None)
         if _is_nonpositive_integer(u):
             self._special_upper.append(u)
         if _is_nonpositive_integer(v):
             self._special_lower.append(v)
             self._lifted_poles.append(v)
-        # The checks of lifted_params and pfq, on the entries that can fail them.
         for b in self._lifted_poles:
             if b not in self._special_upper:
-                return LiftedLowerPole(f"appended lower parameter {b} is a nonpositive integer")
+                return LiftedLowerPole, f"appended lower parameter {b} is a nonpositive integer"
         upper, lower = _cancel_matching(self._special_upper, self._special_lower)
         if lower:
-            return LowerParameterPole(f"lower parameter {lower[0]} is a nonpositive integer")
-        n_stop = _terminating_index(upper)
+            return LowerParameterPole, f"lower parameter {lower[0]} is a nonpositive integer"
+        return _terminating_index(upper)
+
+    def product(self, m: int) -> complex:
+        """prod_{k<=m} (alpha + k*beta + 1); raises ProductPole where a factor vanishes."""
+        products = self.products
+        if m >= len(products):
+            with self._lock:
+                while len(products) <= m:
+                    k = len(products)
+                    factor = self._alpha + k * self._beta + 1.0
+                    mag = abs(factor)
+                    if mag <= _PRODUCT_POLE_TOL:  # growth stops; every call here raises
+                        raise ProductPole(f"alpha + m*beta + 1 vanishes at m = {k}")
+                    if mag < _PRODUCT_NEAR_POLE:
+                        text = f"near pole: |alpha + {k}*beta + 1| = {mag:.3g}"
+                        self.near_poles.append((k, text))
+                    products.append((products[-1] if k else 1.0 + 0.0j) * factor)
+        return products[m]
+
+
+class LiftedSequence:
+    """Inner factors F_c = pfq(lifted_params(spec, c), lam*x^gamma), c = 0, 1, ...
+
+    Made for one (spec, x, policy) and shared by the blocks of one call; what
+    does not depend on x it reads from the spec's plan (:class:`_SpecPlan`).
+    :meth:`get` returns F_c as pfq does up to rounding (``converged=False``
+    where pfq raises NotConverged) and raises a fresh instance of what
+    lifted_params or pfq raises.  The vector holds the inner terms, with
+    their zero counts (:func:`_scaled`), as far as the latest sum read them.
+    The sum of count c multiplies each term it reads by the lifts
+    ``u_k/(u_k+n)`` the term lacks (those of c and of any count that raised
+    since the term was last read) as it adds it, so no term past the
+    stopping index is rescaled; it drops the terms it did not read, and
+    builds the terms it needs beyond the vector from the base terms.
+    """
+
+    def __init__(self, spec: IntegrandSpec, x: float, policy: TruncationPolicy = DEFAULT_POLICY):
+        self.key = (spec, x, policy)
+        self.z = spec.lam * (x**spec.gamma) if x != 0.0 else 0.0j
+        self._plan = spec._plan
+        self._base = [(1.0 + 0.0j, 0)]  # base pFq terms with their zero counts
+        self._terms, self._zeros = [], []  # inner terms, lifted through count _lifted
+        self._lifted = -1
+        self._results: list[SeriesEvaluation | _Raised] = []
+
+    def get(self, count: int) -> SeriesEvaluation:
+        """F_count, evaluating every count before it first."""
+        while len(self._results) <= count:
+            self._results.append(self._advance(len(self._results)))
+        result = self._results[count]
+        if isinstance(result, tuple):
+            error, message = result
+            raise error(message)
+        return result
+
+    def _advance(self, c: int) -> SeriesEvaluation | _Raised:
+        n_stop = self._plan.verdict(c)
+        if isinstance(n_stop, tuple):
+            return n_stop
+        spec = self.key[0]
         excess = spec.pfq.p - spec.pfq.q
         if n_stop is None and self.z != 0 and (excess > 1 or excess == 1 and abs(self.z) >= 1.0):
             params = lifted_params(spec, c)  # for pfq's message
             p, q = map(len, _cancel_matching(params.upper, params.lower))
-            return DivergentSeries(
+            return DivergentSeries, (
                 f"{p}F{q} has zero radius of convergence; use an asymptotic evaluator"
                 if excess > 1 else f"{p}F{q} requires |z| < 1; got |z| = {abs(self.z):.6g}"
             )
-        return self._sum(n_stop)
+        return self._sum(c, n_stop)
 
-    def _grow(self) -> None:
-        """Append the next term at the latest count: base term times every lift."""
+    def _grow(self, c: int) -> None:
+        """Append the next term at count c: base term times every lift through c."""
         n = len(self._terms)
         if n == len(self._base):  # next base term by pfq's ratio
             k = n - 1
             term, zeros = self._base[k]
             ratio = self.z / n
-            for a in self._base_params[0]:
+            for a in self._plan.base_params[0]:
                 ratio, zeros = _scaled(ratio, zeros, a + k, 1.0)
-            for b in self._base_params[1]:
+            for b in self._plan.base_params[1]:
                 ratio, zeros = _scaled(ratio, zeros, 1.0, b + k)
             self._base.append((term * ratio, zeros))
         term, zeros = self._base[n]
-        for u in self._u if n else ():
+        for u in self._plan.u[:c + 1] if n else ():
             term, zeros = _scaled(term, zeros, u, u + n)
         self._terms.append(term)
         self._zeros.append(zeros)
 
-    def _sum(self, n_stop: int | None) -> SeriesEvaluation:
-        """Kahan sum of the latest count's terms, stopped as pfq stops."""
-        policy = self.key[2]
+    def _sum(self, c: int, n_stop: int | None) -> SeriesEvaluation:
+        """Kahan sum of count c's terms, lifted as they are read, stopped as pfq stops."""
+        policy, plan = self.key[2], self._plan
         terms, zeros = self._terms, self._zeros
+        first, kept = self._lifted + 1, len(terms)  # terms [0, kept) lack lifts first..c
+        u = plan.u[c]
+        plain = first == c and not plan.exact[c]
         total = comp = 0.0 + 0.0j
         small_run = n = 0
         while n_stop is None or n <= n_stop:
-            if n == len(terms):
-                self._grow()
+            if n >= kept:
+                self._grow(c)
+            elif n and plain:
+                terms[n] = terms[n] * u / (u + n)
+            elif n:
+                for k in range(first, c + 1):
+                    v = plan.u[k]
+                    if plan.exact[k]:
+                        terms[n], zeros[n] = _scaled(terms[n], zeros[n], v, v + n)
+                    else:
+                        terms[n] = terms[n] * v / (v + n)
             term = terms[n] if zeros[n] <= 0 else 0.0j
             mag = abs(term)
             if n == policy.max_terms:
@@ -215,9 +304,11 @@ class LiftedSequence:
             comp = (s - total) - y
             total = s
             n += 1
-        else:
+        else:  # ended after the terminating index, without reading term n
             mag = 0.0
-        del terms[n + 1:], zeros[n + 1:]  # a later count rebuilds terms it needs
+            del terms[n:], zeros[n:]
+        del terms[n + 1:], zeros[n + 1:]  # a later count regrows what this one did not lift
+        self._lifted = c
         converged = n < policy.max_terms or n_stop is not None and n > n_stop
         return SeriesEvaluation(total, n, mag, CONVERGENT, converged)
 
@@ -264,9 +355,8 @@ def series_block(spec: IntegrandSpec, x: float, policy: TruncationPolicy = DEFAU
     warnings: list[str] = []
     inner_worst: SeriesEvaluation | None = None
     converged, inner_all_converged = False, True
-    small_run = 0
-    prod = 1.0 + 0.0j
-    m_done = -1
+    small_run = near = 0  # near: the plan's near-pole warnings already reported
+    plan = spec._plan
     power = t if parity == "odd" else 1.0 + 0.0j
     step = -t if parity == "all" else t * t
 
@@ -276,16 +366,10 @@ def series_block(spec: IntegrandSpec, x: float, policy: TruncationPolicy = DEFAU
             converged, last_mag = True, 0.0
             break
         m_target = j if parity == "all" else 2 * j + (parity == "odd")
-        while m_done < m_target:
-            m_done += 1
-            factor = spec.alpha + m_done * spec.beta + 1.0
-            mag = abs(factor)
-            if mag <= _PRODUCT_POLE_TOL:
-                raise ProductPole(f"alpha + m*beta + 1 vanishes at m = {m_done}")
-            if mag < _PRODUCT_NEAR_POLE:
-                warnings.append(f"near pole: |alpha + {m_done}*beta + 1| = {mag:.3g}")
-            prod *= factor
-        coeff = power / prod
+        coeff = power / plan.product(m_target)
+        while near < len(plan.near_poles) and plan.near_poles[near][0] <= m_target:
+            warnings.append(plan.near_poles[near][1])
+            near += 1
         if alternating and j % 2 == 1:
             coeff = -coeff
         inner = lifted.get(m_target)

@@ -160,6 +160,18 @@ class TestSweep:
         first_value = float(lines[1].split(",")[3])
         assert relerr(first_value, math.sqrt(math.pi)) < 1e-13
 
+    def test_negative_exponent_values(self):
+        # repr(-1e-05) starts like a flag; each swept value must still parse.
+        code, out, _ = invoke(["sweep", "pfq", "--param=z", "--start=-0.00001",
+                               "--stop=-0.00002", "--steps=2"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 3
+        for row in rows:  # 0F0(;;z) = e^z
+            z = row["inputs"]["z_re"]
+            assert z == row["inputs"]["sweep_value"] < 0
+            assert relerr(row["value_re"], math.exp(z)) < 1e-15
+
     def test_seventeen_digit_floats(self):
         _, out, _ = invoke(["fourier", "--theta", "1", "--k", "2"])
         text = json.loads(out)

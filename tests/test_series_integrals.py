@@ -1,18 +1,28 @@
 import cmath
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
-from conftest import SEED, random_integrand_spec, reference_block, relerr
+from conftest import (
+    SEED, ReferenceLiftedSequence, random_integrand_spec, reference_block, reference_series_block,
+    relerr,
+)
 from pfqint import (
+    DEFAULT_POLICY,
     DivergentSeries,
     IntegrandSpec,
     LiftedLowerPole,
     LowerParameterPole,
     NotConverged,
     PFqParams,
+    PfqintError,
     ProductPole,
     TruncationPolicy,
     antiderivative,
@@ -22,8 +32,9 @@ from pfqint import (
     pfq,
     quad_finite,
 )
+from pfqint import series_integrals
 from pfqint.oracle import fd_derivative
-from pfqint.series_integrals import KERNELS, LiftedSequence, series_block
+from pfqint.series_integrals import KERNELS, AntiderivativeValue, LiftedSequence, series_block
 
 
 def _spec(**kw):
@@ -337,3 +348,150 @@ class TestLiftedRecurrence:
             assert shared == series_block(spec, 1.4, parity=parity)
         with pytest.raises(ValueError):
             series_block(spec, 1.5, lifted=lifted)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except PfqintError as exc:
+        return type(exc), str(exc)
+
+
+def _count_outcome(lifted, count):
+    ev = _outcome(lifted.get, count)
+    if isinstance(ev, tuple):
+        return ev
+    return ev.value, ev.terms_used, ev.error_estimate, ev.converged
+
+
+# Specs whose verdicts the plan records, each with its x list: the inner 2F1
+# at |lam x^gamma| below and above 1, near and exact product poles, a lifted
+# lower pole, integer lift parameters, a terminating base series, and two
+# more described where they appear.
+_PINNED = (
+    (_spec(kernel="cosh", alpha=0.3, lam=1.0, pfq=PFqParams((0.5, 1.5), (2.5,))), (0.8, 1.2, 0.0)),
+    (_spec(kernel="sin", alpha=-2.0 + 1e-8, gamma=2.0, lam=0.4), (0.5, 1.1)),
+    (_spec(alpha=-2.0, gamma=2.0, eta=0.7), (0.5, 1.5)),
+    (_spec(kernel="cosh", alpha=-4.0, lam=0.3, pfq=PFqParams((-1.0,), (1.5,))), (0.8, 1.6)),
+    (_spec(alpha=-4.0, lam=0.3, pfq=PFqParams((-1.0,), (1.5,))), (0.4, 0.8)),
+    (_spec(kernel="sin", alpha=0.5, eta=2.0, lam=1.5 / 0.8, pfq=PFqParams((-3.0, 1.5), (2.5,))),
+     (0.8, 0.3)),
+    # u_c = c - 2 + 1e-13, within tolerance of an integer but not one: count 1
+    # raises (its lower entry u_1 + 1 has no equal upper entry until u_2), so
+    # count 2 lifts the terms count 0 read by u_1 and u_2.
+    (_spec(alpha=-3.0 + 1e-13, lam=0.3, pfq=PFqParams(((-3.0 + 1e-13) + 1.0 + 1.0,))), (0.5, 0.9)),
+    # u_c = 1 - c/2: counts 2 and 3 end at n = 0 (u_2 = 0), count 4 at n = 1
+    # (v_4 = 0 cancels u_2, u_4 = -1), after counts 0 and 1 read further.
+    (_spec(beta=-0.5, lam=0.3), (0.5, 1.2)),
+)
+
+
+class TestSpecPlan:
+    def _assert_matches_per_x(self, spec, xs, scales):
+        """Blocks and counts read through one plan, x after x, against the
+        per-x recurrence on the same call sequence: exactly equal."""
+        plan_spec = dataclasses.replace(spec)  # a new object starts a new plan
+        for k, x in enumerate(xs):
+            mine, ref = LiftedSequence(plan_spec, x), ReferenceLiftedSequence(spec, x)
+            for i, parity in enumerate(("all", "even", "odd")):
+                args = (x, DEFAULT_POLICY, parity, spec.kernel in ("cos", "sin"),
+                        scales[(k + i) % len(scales)])
+                assert (_outcome(series_block, plan_spec, *args, lifted=mine)
+                        == _outcome(reference_series_block, spec, *args, lifted=ref))
+            for count in range(len(ref._results) + 4):
+                assert _count_outcome(mine, count) == _count_outcome(ref, count)
+
+    def test_matches_per_x_recurrence_in_either_x_order(self):
+        corpus = _lifted_corpus(random.Random(SEED + 20))  # as in TestLiftedRecurrence
+        cases = [(spec, (x, 0.5 * x, 1.3 * x)) for spec, x in corpus] + list(_PINNED)
+        for spec, xs in cases:
+            rising = sorted(xs)
+            for order in (rising, rising[::-1]):
+                self._assert_matches_per_x(spec, order, (1.0, -1.0, 1j, -1j))
+
+    def test_pinned_cases_raise_what_they_should(self):
+        # The 2F1 case diverges at one x of its list and not at another.
+        spec, _ = _PINNED[0]
+        assert isinstance(_outcome(antiderivative, spec, 0.8), AntiderivativeValue)
+        assert _outcome(antiderivative, spec, 1.2)[0] is DivergentSeries
+        assert _outcome(antiderivative, _PINNED[2][0], 0.5)[0] is ProductPole
+        assert _outcome(antiderivative, _PINNED[3][0], 0.8)[0] is LiftedLowerPole
+        assert any("near pole" in w for w in antiderivative(_PINNED[1][0], 0.5).warnings)
+        lifted = LiftedSequence(_PINNED[6][0], 0.5)
+        assert _outcome(lifted.get, 1)[0] is LiftedLowerPole
+        assert lifted.get(2).terms_used > 3
+        lifted = LiftedSequence(_PINNED[7][0], 0.5)
+        used = [lifted.get(c).terms_used for c in range(5)]
+        assert used[2:] == [1, 1, 2] and min(used[:2]) > 3
+
+    def test_one_plan_per_spec_object(self, monkeypatch):
+        built = []
+        init = series_integrals._SpecPlan.__init__
+
+        def counting_init(plan, spec):
+            built.append(spec)
+            init(plan, spec)
+
+        monkeypatch.setattr(series_integrals._SpecPlan, "__init__", counting_init)
+        spec = _spec(kernel="cos", alpha=0.3, eta=0.9, lam=0.1, pfq=PFqParams((), (1.2,)))
+        for x in (0.4, 1.2, 0.7):
+            antiderivative(spec, x)
+        definite_integral(spec, 0.2, 0.9)
+        assert len(built) == 1 and built[0] is spec
+        twin = dataclasses.replace(spec)
+        assert twin == spec
+        antiderivative(twin, 0.4)
+        assert len(built) == 2 and built[1] is twin
+        assert twin._plan is not spec._plan
+
+    def test_copies_build_their_own_plan(self):
+        spec = _spec(kernel="sin", alpha=0.5, eta=2.0, lam=0.3, pfq=PFqParams((1.5,), (2.5,)))
+        value = antiderivative(spec, 0.8).value
+        for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+            assert twin == spec and "_plan" not in vars(twin)
+            assert antiderivative(twin, 0.8).value == value
+            assert twin._plan is not spec._plan
+
+    @pytest.mark.parametrize("spec, error", [
+        (_spec(alpha=-2.0, gamma=2.0), ProductPole),
+        (_spec(alpha=-2.0, lam=0.3), LiftedLowerPole),
+    ])
+    def test_each_call_raises_a_fresh_error(self, spec, error):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                antiderivative(spec, 0.5)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
+
+    def test_threads_sharing_a_spec_match_one_thread(self):
+        # Plans grow while four threads read them; each round starts new plans.
+        rng = random.Random(SEED + 23)
+        specs = [random_integrand_spec(rng) for _ in range(4)]
+        xs = [0.3 + 0.05 * k for k in range(30)]
+        want = [[antiderivative(s, x).value for x in xs] for s in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = [dataclasses.replace(s) for s in specs]
+                got, start = {}, threading.Barrier(4)
+
+                def worker(w):
+                    start.wait(timeout=60)
+                    order = xs[w::4] + xs if w % 2 else xs[::-1]
+                    got[w] = [{x: antiderivative(s, x).value for x in order} for s in shared]
+
+                threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert len(got) == 4
+                for values in got.values():
+                    assert [[v[x] for x in xs] for v in values] == want
+        finally:
+            sys.setswitchinterval(interval)
